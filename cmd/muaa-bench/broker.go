@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"muaa/internal/broker"
+	"muaa/internal/geo"
+	"muaa/internal/model"
 	"muaa/internal/obs"
 	"muaa/internal/workload"
 )
@@ -162,13 +164,14 @@ func runBrokerBatch(w io.Writer, scale float64, seed int64, csv bool, doc *bench
 	return runBrokerSlate(w, scale, seed, csv, doc)
 }
 
-// runBrokerSlate sweeps the slate scan against the legacy serial scan on a
-// pure-arrival fixed-cost stream: a "serial" baseline (legacy path, a_i = 1)
-// against the slate path at slot capacities a_i ∈ {1, 2, 4}, interleaved
-// A/B like the batch sweep. The a_i = 1 slate arm measures the pure overhead
-// of the slot-fill machinery on the workload where both paths make
-// bit-identical decisions (TestSlateEquivalenceSerial); the a_i > 1 arms
-// price the MCKP slot fill itself. ns/op is per arrival in every arm.
+// runBrokerSlate prices billing on a pure-arrival fixed-cost stream: a
+// "serial" baseline (billing off, a_i = 1) against a billed broker at slot
+// capacities a_i ∈ {1, 2, 4}, interleaved A/B like the batch sweep. Billing
+// is turned on by one billed campaign no arrival reaches. The a_i = 1 slate
+// arm measures the pure overhead of active billing on the workload where
+// both arms make bit-identical decisions (TestSlateEquivalenceSerial); the
+// a_i > 1 arms price the MCKP slot fill itself. ns/op is per arrival in
+// every arm.
 func runBrokerSlate(w io.Writer, scale float64, seed int64, csv bool, doc *benchDoc) error {
 	campaigns := int(512 * scale)
 	if campaigns < 16 {
@@ -347,16 +350,25 @@ func obsRun(specs []workload.BrokerCampaign, arrivals []broker.Arrival, every ti
 	return float64(elapsed.Nanoseconds()) / float64(len(arrivals)), nil
 }
 
-// slateRun replays the arrival stream serially on a fresh broker — legacy
-// scan when slate is false, forced slate path otherwise — and returns ns
-// per arrival.
+// slateRun replays the arrival stream serially on a fresh broker — with
+// billing active when slate is set — and returns ns per arrival.
 func slateRun(specs []workload.BrokerCampaign, arrivals []broker.Arrival, slate bool) (float64, error) {
-	b, err := broker.New(broker.Config{AdTypes: workload.DefaultAdTypes(), Metrics: obs.NewRegistry(), Slate: slate})
+	b, err := broker.New(broker.Config{AdTypes: workload.DefaultAdTypes(), Metrics: obs.NewRegistry()})
 	if err != nil {
 		return 0, err
 	}
 	for _, c := range specs {
 		if _, err := b.RegisterCampaign(c.Loc, c.Radius, c.Budget, c.Tags); err != nil {
+			return 0, err
+		}
+	}
+	if slate {
+		// Billing turns on with the first billed campaign; this one sits
+		// outside the service area with zero radius, so no arrival reaches it.
+		if _, err := b.RegisterCampaignSpec(broker.CampaignSpec{
+			Loc: geo.Point{X: -1, Y: -1}, Budget: 1, Tags: []float64{1},
+			Billing: model.Billing{Model: model.BillingCPM, ReserveECPM: 1},
+		}); err != nil {
 			return 0, err
 		}
 	}

@@ -20,12 +20,12 @@
 //
 //	muaa-bench -exp broker -scale 0.1 -workers 8
 //
-// `-exp slate` prices the slate scan: an interleaved A/B of the legacy
-// serial scan against the forced slate path at slot capacities a_i ∈
-// {1, 2, 4} on a pure-arrival fixed-cost stream (the a_i = 1 arm measures
-// pure slot-fill overhead on the workload where both paths decide
-// identically; it also runs as the tail of -exp broker, so BENCH_broker.json
-// carries the series):
+// `-exp slate` prices billing: an interleaved A/B of an unbilled broker
+// against one whose billing is active (a billed campaign no arrival
+// reaches) at slot capacities a_i ∈ {1, 2, 4} on a pure-arrival fixed-cost
+// stream (the a_i = 1 arm measures the overhead of active billing on the
+// workload where both arms decide identically; it also runs as the tail of
+// -exp broker, so BENCH_broker.json carries the series):
 //
 //	muaa-bench -exp slate -scale 0.1 -json slate.json
 //

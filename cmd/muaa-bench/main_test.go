@@ -66,7 +66,7 @@ func TestRunBrokerScaling(t *testing.T) {
 }
 
 // TestRunSlate drives the standalone slate sweep: four arms (serial
-// baseline plus slot capacities 1, 2, 4 on the forced slate path), each
+// baseline plus slot capacities 1, 2, 4 with billing active), each
 // with positive measurements, in both text and -json form.
 func TestRunSlate(t *testing.T) {
 	var buf bytes.Buffer

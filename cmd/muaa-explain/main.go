@@ -116,12 +116,12 @@ func parseVector(s string) ([]float64, error) {
 // render prints the human view: a summary header, then one line per
 // candidate in scan order with its disposition verdict.
 func render(w io.Writer, rep *broker.ExplainReport) {
-	path := "legacy"
+	billing := "off"
 	if rep.Slate {
-		path = "slate"
+		billing = "on"
 	}
-	fmt.Fprintf(w, "path=%s stripes=[%d,%d] gathered=%d offered=%d boost=%g γ=[%g, %g] g=%g\n",
-		path, rep.StripeLo, rep.StripeHi, rep.Gathered, rep.Offered,
+	fmt.Fprintf(w, "billing=%s stripes=[%d,%d] gathered=%d offered=%d boost=%g γ=[%g, %g] g=%g\n",
+		billing, rep.StripeLo, rep.StripeHi, rep.Gathered, rep.Offered,
 		rep.Boost, rep.GammaMin, rep.GammaMax, rep.G)
 	for i := range rep.Candidates {
 		c := &rep.Candidates[i]

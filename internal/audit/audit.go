@@ -396,23 +396,12 @@ func Compute(in Input, cfg Config) (Report, error) {
 }
 
 // observedG reproduces the broker's g derivation: the configured value wins;
-// otherwise e·γmax/γmin clamped to [2e, 1e9], defaulting to 2e before any
-// observation.
+// otherwise the core.TunedG rule over the observed bounds.
 func observedG(in Input) float64 {
 	if in.G > 0 {
 		return in.G
 	}
-	g := 2 * math.E
-	if in.GammaMax > in.GammaMin && in.GammaMin > 0 {
-		g = math.E * in.GammaMax / in.GammaMin
-		if g < 2*math.E {
-			g = 2 * math.E
-		}
-		if g > 1e9 {
-			g = 1e9
-		}
-	}
-	return g
+	return core.TunedG(in.GammaMin, in.GammaMax)
 }
 
 // fixedThreshold evaluates φ(δ) = γ_min/e · g^δ, the broker's adaptive
@@ -421,7 +410,7 @@ func fixedThreshold(in Input, g, delta float64) float64 {
 	if in.GammaMax == 0 {
 		return 0
 	}
-	return in.GammaMin / math.E * math.Pow(g, delta)
+	return core.AdaptiveThreshold{GammaMin: in.GammaMin, G: g}.Value(delta)
 }
 
 // fixedThresholdUtility replays the audited stream against a constant

@@ -1,34 +1,34 @@
 package broker
 
-// The struct-of-arrays scan arena. Every arrival used to rebuild its scratch
-// state from scratch — a candidate-id slice, one model view per candidate, a
-// Pearson weights buffer per score, and a candidate slice — which cost ~6
-// allocations per serial arrival. The arena keeps all of that as flat,
-// reusable slices hanging off the shard struct, so the steady-state hot path
-// allocates nothing and the scoring loop runs over dense float64 arrays.
+// The decision scan and its struct-of-arrays arena. Every arrival — serial,
+// batched or explained — runs the same three steps over the same scratch:
+//
+//  1. gatherCandidates: grid probes into ids, sorted ascending — the global
+//     scan order.
+//  2. scan pass A: the cheap filters (paused, exhausted, tag mismatch,
+//     non-positive score) and the per-candidate score/distance/base/δ terms
+//     into flat arrays. This pass never reads γ state, so hoisting it out of
+//     the threshold walk cannot change any admission decision.
+//  3. scan pass B: the sequential O-AFA threshold walk. γ observations feed
+//     forward from candidate i to candidate i+1's threshold, so this pass
+//     must stay in candidate order. Each candidate keeps its best admitted
+//     ad type; the best a_i candidates by efficiency win the slots
+//     (keepBest). Once billing is active, an arrival with a_i ≥ 2 instead
+//     feeds every admitted item to the MCKP slot solver (slate.go).
+//
+// The floating-point operation sequence is the one the original fused loop
+// performed; the golden transcripts in determinism_test.go pin it.
 //
 // Ownership rule: an arrival (or batch) that locks the contiguous stripe
 // interval [s0, s1] uses the arena of shard s0 — the lowest locked stripe.
 // Any two lock sets that share a stripe overlap as intervals, so two holders
 // can never pick the same lowest stripe while both hold it; the arena is
 // therefore exclusively owned for the duration of the locks, with no
-// synchronization beyond the stripe mutexes themselves.
-//
-// The scan is split into three passes that together reproduce the exact
-// floating-point operation sequence of the original fused loop (pinned by
-// the golden transcripts in determinism_test.go):
-//
-//  1. gatherCandidates: grid probes into ids, sorted ascending — the global
-//     scan order.
-//  2. scanCandidates pass A: per-candidate score/distance/base/δ terms into
-//     the flat arrays. This pass never reads γ state, so hoisting it out of
-//     the threshold loop cannot change any admission decision.
-//  3. scanCandidates pass B: the sequential O-AFA threshold walk. γ
-//     observations feed forward from candidate i to candidate i+1's
-//     threshold, exactly as the fused loop did, so this pass must stay in
-//     candidate order.
+// synchronization beyond the stripe mutexes themselves. Explain scans a
+// fresh arena of its own.
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -45,12 +45,11 @@ type scanArena struct {
 	// ids is the gathered candidate id set, sorted ascending.
 	ids []int32
 
-	// Struct-of-arrays terms for candidates that survived the cheap filters
-	// (paused / exhausted / dimension mismatch / non-positive score), indexed
-	// together: cand[i]'s Eq. 4 base value is base[i], its budget-usage ratio
-	// delta[i], its pacing-capped spendable budget remaining[i], its raw
-	// unspent budget headroom[i], and relief[i] marks a guaranteed campaign
-	// behind its pro-rated delivery floor.
+	// Struct-of-arrays terms for candidates that survived the cheap filters,
+	// indexed together: cand[i]'s Eq. 4 base value is base[i], its
+	// budget-usage ratio delta[i], its pacing-capped spendable budget
+	// remaining[i], its unspent, unescrowed budget headroom[i], and relief[i]
+	// marks a guaranteed campaign behind its pro-rated delivery floor.
 	cand      []*campaign
 	base      []float64
 	delta     []float64
@@ -58,13 +57,15 @@ type scanArena struct {
 	headroom  []float64
 	relief    []bool
 
-	// cands accumulates admitted offers awaiting capacity trim and commit.
+	// reps holds each candidate's best admitted item, awaiting keepBest.
+	reps []slateRep
+
+	// cands accumulates the priced winners awaiting commit.
 	cands []candidate
 
 	// fev accumulates per-candidate funnel dispositions for the post-scan
 	// registry fold (see funnel.go); empty unless the broker's funnel is
-	// enabled. Retained at high-water capacity like every other arena slice,
-	// so attribution adds no steady-state allocations.
+	// enabled.
 	fev []funnelEvent
 
 	// Reused model views handed to the preference scorer, plus the Pearson
@@ -73,63 +74,59 @@ type scanArena struct {
 	vendor   model.Vendor
 	weights  []float64
 
-	// Slate-path scratch (see slate.go): the slot-capacitated MCKP solver,
-	// its flat item mirror, the class → candidate/first-item maps, and the
-	// capacity-1 representative list. Retained like every other arena slice
-	// so the slate path stays allocation-free in steady state.
+	// Slot-solver scratch (see slate.go): the MCKP solver, its flat item
+	// mirror, the class → candidate/first-item maps, and each class's slot
+	// (-1 when the solver left it out).
 	slot       knapsack.SlotSolver
 	items      []slateItem
 	classCand  []int32
 	classItem0 []int32
-	reps       []slateRep
-
-	// classWon marks the MCKP classes granted a slot by the solver, for
-	// funnel offered/displaced attribution (slate slots path only).
-	classWon []bool
+	classSlot  []int32
 }
 
-// scanTally counts how the scan disposed of each candidate, plus the number
-// of admitted offers dropped by the capacity trim. Folded into the metrics
-// counters (and the trace's ScanCounts) after the scan so the loop body
-// stays branch-light.
+// slateRep is one candidate's best admitted item: the ad type with the
+// highest utility among those whose efficiency cleared the threshold.
+type slateRep struct {
+	ci   int32 // index into ar.cand
+	k    int32
+	util float64
+	eff  float64
+	bid  float64
+}
+
+// scanTally counts how the scan disposed of each gathered candidate. Folded
+// into the metrics counters (and the trace's ScanCounts) after the scan so
+// the loop body stays branch-light.
 type scanTally struct {
 	// gathered is the candidate count the grid probes returned — the top of
-	// the decision funnel; the disposition fields partition it.
-	gathered                                                                     uint64
-	offered, paused, exhausted, mismatch, lowScore, unaffordable, belowThreshold uint64
-	// belowReserve counts candidates every affordable bid of which fell below
-	// the campaign's reserve price (slate path only).
-	belowReserve uint64
-	trimmed      uint64
+	// the decision funnel; n partitions it by disposition, except that
+	// n[dispOffered] counts every admitted candidate, including those the
+	// slot race then displaced (n[dispDisplaced]).
+	gathered uint64
+	n        [numDispositions]uint64
 }
 
 // add folds another tally into t (batch aggregation).
 func (t *scanTally) add(o scanTally) {
 	t.gathered += o.gathered
-	t.offered += o.offered
-	t.paused += o.paused
-	t.exhausted += o.exhausted
-	t.mismatch += o.mismatch
-	t.lowScore += o.lowScore
-	t.unaffordable += o.unaffordable
-	t.belowThreshold += o.belowThreshold
-	t.belowReserve += o.belowReserve
-	t.trimmed += o.trimmed
+	for d := range t.n {
+		t.n[d] += o.n[d]
+	}
 }
 
 // counts converts the tally to the trace view.
 func (t *scanTally) counts() trace.ScanCounts {
 	return trace.ScanCounts{
 		Gathered:       t.gathered,
-		Displaced:      t.trimmed,
-		Offered:        t.offered,
-		Paused:         t.paused,
-		Exhausted:      t.exhausted,
-		Mismatch:       t.mismatch,
-		LowScore:       t.lowScore,
-		Unaffordable:   t.unaffordable,
-		BelowThreshold: t.belowThreshold,
-		BelowReserve:   t.belowReserve,
+		Displaced:      t.n[dispDisplaced],
+		Offered:        t.n[dispOffered],
+		Paused:         t.n[dispPaused],
+		Exhausted:      t.n[dispExhausted],
+		Mismatch:       t.n[dispTagMismatch],
+		LowScore:       t.n[dispLowScore],
+		Unaffordable:   t.n[dispUnaffordable],
+		BelowThreshold: t.n[dispBelowThreshold],
+		BelowReserve:   t.n[dispBelowReserve],
 	}
 }
 
@@ -148,17 +145,30 @@ func (b *Broker) gatherCandidates(ar *scanArena, loc geo.Point, s0, s1 int) []*c
 	return *b.dir.Load()
 }
 
-// scanCandidates runs the two scan passes over ar.ids, leaving the admitted
-// (and capacity-trimmed) offers in ar.cands. Caller holds the stripe locks
-// that produced ar.ids.
-func (b *Broker) scanCandidates(ar *scanArena, a *Arrival, dir []*campaign, boost float64) scanTally {
+// decide is the decision step of a live arrival, serial or batched: the scan
+// against the broker's γ bounds, then the funnel fold while the stripe locks
+// still own the arena (the event slice is arena scratch). The winners are
+// left in ar.cands for commit.
+func (b *Broker) decide(ar *scanArena, a *Arrival, dir []*campaign) scanTally {
+	tally := b.scan(ar, a, dir, &b.gamma, nil)
+	if b.funnel != nil {
+		b.funnel.fold(ar)
+	}
+	return tally
+}
+
+// scan runs both passes over ar.ids, observing efficiencies into gb and
+// leaving the priced winners in ar.cands. ex, when non-nil, records every
+// candidate's verdict for Explain. Caller holds the stripe locks that
+// produced ar.ids.
+func (b *Broker) scan(ar *scanArena, a *Arrival, dir []*campaign, gb *gammaBounds, ex *explainSink) scanTally {
 	var tally scanTally
 	tally.gathered = uint64(len(ar.ids))
 	// rec gates funnel attribution: one branch per disposition when enabled,
 	// one nil check when not. Events partition ar.ids — every gathered id
 	// lands in exactly one bucket (the conservation invariant pinned by
-	// TestFunnelConservationSoak).
-	rec := b.funnel != nil
+	// TestFunnelConservationSoak). Explain attributes nothing.
+	rec := b.funnel != nil && ex == nil
 	ar.fev = ar.fev[:0]
 	cu := &ar.customer
 	*cu = model.Customer{Loc: a.Loc, Capacity: a.Capacity, ViewProb: a.ViewProb,
@@ -170,32 +180,45 @@ func (b *Broker) scanCandidates(ar *scanArena, a *Arrival, dir []*campaign, boos
 	ar.remaining = ar.remaining[:0]
 	ar.headroom = ar.headroom[:0]
 	ar.relief = ar.relief[:0]
+	ar.reps = ar.reps[:0]
 	ar.cands = ar.cands[:0]
+
+	// The controller's boost is loaded once per arrival so every candidate
+	// sees the same threshold scaling (PacingStep only swaps it under full
+	// shard quiescence, which the held locks exclude). The billing flag is
+	// read under the locks too: a billed campaign visible in any held
+	// shard's grid was inserted under that shard's lock after the flag
+	// flipped.
+	boost := 1.0
+	if b.controller != nil {
+		boost = b.phiBoost.Load()
+	}
+	billed := b.billing.active.Load()
+	if ex != nil {
+		ex.rep.Boost, ex.rep.Slate = boost, billed
+	}
 
 	// Pass A: filters and the γ-independent per-candidate terms.
 	for _, id := range ar.ids {
 		c := dir[id]
+		var ec *ExplainCandidate
+		if ex != nil {
+			ex.rep.Candidates = append(ex.rep.Candidates, ExplainCandidate{Campaign: id})
+			ec = &ex.rep.Candidates[len(ex.rep.Candidates)-1]
+		}
 		if c.paused.Load() {
-			tally.paused++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: id, disp: dispPaused})
-			}
+			ar.reject(&tally, rec, id, dispPaused, ec)
 			continue
 		}
 		budget := c.budget.Load()
 		if budget <= 0 {
-			tally.exhausted++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: id, disp: dispExhausted})
-			}
+			ar.reject(&tally, rec, id, dispExhausted, ec)
 			continue
 		}
 		if b.vectorPref && len(c.tags) != len(a.Interests) {
-			tally.mismatch++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: id, disp: dispTagMismatch})
-			}
-			continue // mismatched taxonomies: preference undefined, not served
+			// Mismatched taxonomies: preference undefined, not served.
+			ar.reject(&tally, rec, id, dispTagMismatch, ec)
+			continue
 		}
 		spent := c.spent.Load()
 		*ve = model.Vendor{Loc: c.loc, Radius: c.radius, Budget: budget, Tags: c.tags}
@@ -208,10 +231,10 @@ func (b *Broker) scanCandidates(ar *scanArena, a *Arrival, dir []*campaign, boos
 			s = b.pref.Score(cu, ve, a.Hour)
 		}
 		if s <= 0 || math.IsNaN(s) {
-			tally.lowScore++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: id, disp: dispLowScore})
+			if ec != nil {
+				ec.Score = s
 			}
+			ar.reject(&tally, rec, id, dispLowScore, ec)
 			continue
 		}
 		if s > 1 {
@@ -224,7 +247,11 @@ func (b *Broker) scanCandidates(ar *scanArena, a *Arrival, dir []*campaign, boos
 		base := a.ViewProb * s / d
 		delta := spent / budget
 		relief := c.guaranteed && c.floor > 0 && spent < c.floor*budget*(a.Hour/24)
-		remaining := budget - spent
+		// Escrowed budget is committed money: it is unavailable to new
+		// offers until the conversion lands or the hold expires. With no
+		// escrow, budget − spent − 0 is bit-identical to budget − spent.
+		escrow := c.escrow.Load()
+		remaining := budget - spent - escrow
 		headroom := remaining
 		if b.cfg.Pacing > 0 {
 			// Daily pacing cap: spend so far plus this ad must stay within
@@ -242,6 +269,11 @@ func (b *Broker) scanCandidates(ar *scanArena, a *Arrival, dir []*campaign, boos
 				remaining = paced
 			}
 		}
+		if ec != nil {
+			*ec = ExplainCandidate{Campaign: id, Distance: d, Score: s, Delta: delta,
+				Relief: relief, Base: base, Remaining: remaining, Headroom: headroom, Escrow: escrow}
+			ex.at = append(ex.at, len(ex.rep.Candidates)-1)
+		}
 		ar.cand = append(ar.cand, c)
 		ar.base = append(ar.base, base)
 		ar.delta = append(ar.delta, delta)
@@ -252,10 +284,18 @@ func (b *Broker) scanCandidates(ar *scanArena, a *Arrival, dir []*campaign, boos
 
 	// Pass B: the sequential O-AFA threshold walk, in candidate order — each
 	// candidate's threshold reads the γ bounds as updated by every earlier
-	// candidate's observations.
+	// candidate's observations. Efficiency divides by the billing-expected
+	// cost, which is the catalog cost itself for fixed billing.
+	slots := billed && a.Capacity >= 2
+	if slots {
+		ar.slot.Reset()
+		ar.items = ar.items[:0]
+		ar.classCand = ar.classCand[:0]
+		ar.classItem0 = ar.classItem0[:0]
+	}
 	adTypes := b.cfg.AdTypes
 	for i, c := range ar.cand {
-		phi := b.threshold(ar.delta[i])
+		phi := gb.threshold(b.cfg.G, ar.delta[i])
 		if boost != 1 {
 			phi *= boost
 		}
@@ -266,115 +306,165 @@ func (b *Broker) scanCandidates(ar *scanArena, a *Arrival, dir []*campaign, boos
 			// suspended.
 			phi *= guaranteeRelief
 		}
+		var ec *ExplainCandidate
+		if ex != nil {
+			ec = &ex.rep.Candidates[ex.at[i]]
+			ec.Threshold = phi
+			ec.Bids = make([]ExplainBid, 0, len(adTypes))
+		}
+		bi := c.billing
 		base, remaining := ar.base[i], ar.remaining[i]
-		bestK, bestU, bestEff := -1, 0.0, 0.0
-		affordable := false
+		bestK, bestU, bestEff, bestBid := -1, 0.0, 0.0, 0.0
+		affordable, aboveReserve, opened := false, false, false
 		for k, t := range adTypes {
+			var eb *ExplainBid
+			if ec != nil {
+				ec.Bids = append(ec.Bids, ExplainBid{AdType: k, Name: t.Name, Cost: t.Cost})
+				eb = &ec.Bids[k]
+			}
 			if t.Cost > remaining+1e-12 {
 				continue
 			}
 			affordable = true
+			bid := bi.BidECPM(t.Cost)
+			if eb != nil {
+				eb.Affordable = true
+				if billed {
+					eb.BidECPM = bid
+				}
+			}
+			if bid < bi.ReserveECPM {
+				continue // reserve-priced out of the auction
+			}
+			aboveReserve = true
+			expCost := bi.ExpectedCost(t.Cost)
 			util := base * t.Effect
-			eff := util / t.Cost
-			b.observeEfficiency(eff)
+			eff := util / expCost
+			gb.observe(eff)
+			if eb != nil {
+				eb.AboveReserve = billed
+				eb.Utility, eb.Efficiency = util, eff
+			}
 			if eff < phi {
 				continue
 			}
-			if util > bestU {
-				bestK, bestU, bestEff = k, util, eff
+			if slots {
+				if util <= 0 {
+					continue // the slot solver rejects zero-profit items
+				}
+				// Every admitted item joins the candidate's MCKP class.
+				if !opened {
+					opened = true
+					ar.slot.Begin()
+					ar.classCand = append(ar.classCand, int32(i))
+					ar.classItem0 = append(ar.classItem0, int32(len(ar.items)))
+				}
+				ar.slot.Item(expCost, util)
+				ar.items = append(ar.items, slateItem{adType: int32(k), util: util, eff: eff, bid: bid})
+			} else if util > bestU {
+				bestK, bestU, bestEff, bestBid = k, util, eff, bid
+			}
+			if eb != nil {
+				eb.Admitted = true
 			}
 		}
 		switch {
+		case opened:
+			tally.n[dispOffered]++
 		case bestK >= 0:
-			tally.offered++
-			ar.cands = append(ar.cands, candidate{
-				Offer: Offer{
-					Campaign: c.id, AdType: bestK, Utility: bestU,
-					Efficiency: bestEff, Cost: adTypes[bestK].Cost,
-				},
-				c: c,
+			tally.n[dispOffered]++
+			ar.reps = append(ar.reps, slateRep{
+				ci: int32(i), k: int32(bestK), util: bestU, eff: bestEff, bid: bestBid,
 			})
-		case affordable:
-			tally.belowThreshold++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: c.id, disp: dispBelowThreshold})
+			if ec != nil {
+				ec.Bids[bestK].Chosen = true
 			}
+		case aboveReserve:
+			ar.reject(&tally, rec, c.id, dispBelowThreshold, ec)
+		case affordable:
+			ar.reject(&tally, rec, c.id, dispBelowReserve, ec)
 		case ar.headroom[i] < b.minAdCost:
 			// Not even the cheapest ad fits the unspent budget: the
 			// campaign is spent out until a top-up.
-			tally.exhausted++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: c.id, disp: dispExhausted})
-			}
+			ar.reject(&tally, rec, c.id, dispExhausted, ec)
 		default:
 			// Unspent budget exists but the pacing allowance withheld it.
-			tally.unaffordable++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: c.id, disp: dispUnaffordable})
-			}
+			ar.reject(&tally, rec, c.id, dispUnaffordable, ec)
 		}
 	}
-	nAdmitted := len(ar.cands)
-	if len(ar.cands) > a.Capacity {
-		// Total order (efficiency desc, campaign asc; campaigns are unique),
-		// so every sort algorithm yields the same trimmed set and order.
-		slices.SortFunc(ar.cands, func(x, y candidate) int {
-			if x.Efficiency != y.Efficiency {
-				if x.Efficiency > y.Efficiency {
-					return -1
-				}
-				return 1
-			}
-			if x.Campaign != y.Campaign {
-				if x.Campaign < y.Campaign {
-					return -1
-				}
-				return 1
-			}
-			return 0
-		})
-		tally.trimmed = uint64(len(ar.cands) - a.Capacity)
-		ar.cands = ar.cands[:a.Capacity]
-	}
-	if rec {
-		// Admitted candidates resolve only after the trim: the survivors were
-		// offered, the overflow (still live in the backing array past the
-		// truncated length) was displaced by the slot race.
-		for i := range ar.cands {
-			ar.fev = append(ar.fev, funnelEvent{id: ar.cands[i].Campaign, disp: dispOffered})
-		}
-		for _, cd := range ar.cands[len(ar.cands):nAdmitted] {
-			ar.fev = append(ar.fev, funnelEvent{id: cd.Campaign, disp: dispDisplaced})
-		}
+	if slots {
+		b.solveSlots(ar, a.Capacity, &tally, rec, ex)
+	} else {
+		b.keepBest(ar, a.Capacity, &tally, rec, ex)
 	}
 	return tally
 }
 
-// commitOffers charges every offer in ar.cands to its campaign and appends
-// the offers to dst, returning the extended slice. Caller still holds the
-// stripe locks; writers hold the owning shard's lock (every candidate came
-// from a locked shard), so load+store is a safe read-modify-write.
-func (b *Broker) commitOffers(ar *scanArena, dst []Offer) []Offer {
-	m := b.metrics
-	for i := range ar.cands {
-		cd := &ar.cands[i]
-		oldSpent := cd.c.spent.Load()
-		newSpent := oldSpent + cd.Cost
-		cd.c.spent.Store(newSpent)
-		b.spent.Add(cd.Cost)
-		b.utility.Add(cd.Utility)
-		b.offers.Add(1)
-		dst = append(dst, cd.Offer)
-		if m != nil {
-			m.offersByType[cd.AdType].Inc()
-			// Exhaustion event: this commit pushed the remaining budget
-			// below the cheapest ad type, so the campaign can serve nothing
-			// further until a top-up.
-			budget := cd.c.budget.Load()
-			if budget-oldSpent >= b.minAdCost && budget-newSpent < b.minAdCost {
-				m.exhaustedEvents.Inc()
+// keepBest resolves the single-choice walk: the best a_i reps by (efficiency
+// desc, campaign asc) win the slots, in that order, and the first displaced
+// rep's bid prices the auction. Reps ascend by campaign, so sorting only on
+// overflow keeps the offers in campaign order when nothing is trimmed. At
+// a_i = 1 this is the winner/runner-up scan of a second-price auction.
+func (b *Broker) keepBest(ar *scanArena, capacity int, tally *scanTally, rec bool, ex *explainSink) {
+	reps := ar.reps
+	runnerBid := 0.0
+	if len(reps) > capacity {
+		// Total order (ci ascends with the campaign id and is unique), so
+		// every sort algorithm yields the same winners in the same order.
+		slices.SortFunc(reps, func(x, y slateRep) int {
+			if x.eff != y.eff {
+				if x.eff > y.eff {
+					return -1
+				}
+				return 1
 			}
+			return cmp.Compare(x.ci, y.ci)
+		})
+		runnerBid = reps[capacity].bid
+		tally.n[dispDisplaced] = uint64(len(reps) - capacity)
+	}
+	for j := range reps {
+		r := &reps[j]
+		if j >= capacity {
+			b.award(ar, rec, ex, r.ci, nil, 0)
+			continue
+		}
+		ar.cands = append(ar.cands,
+			priceSlateOffer(ar.cand[r.ci], b.cfg.AdTypes, int(r.k), r.util, r.eff, r.bid, runnerBid))
+		b.award(ar, rec, ex, r.ci, &ar.cands[len(ar.cands)-1], j)
+	}
+}
+
+// reject records one candidate's non-offer disposition: the tally, the
+// funnel event when attribution is on, and the verdict when explained.
+func (ar *scanArena) reject(t *scanTally, rec bool, id int32, d funnelDisposition, ec *ExplainCandidate) {
+	t.n[d]++
+	if rec {
+		ar.fev = append(ar.fev, funnelEvent{id: id, disp: d})
+	}
+	if ec != nil {
+		ec.Disposition = dispositionNames[d]
+	}
+}
+
+// award records one admitted candidate's slot outcome — offered when cd is
+// its priced offer at slot, displaced when cd is nil — as a funnel event
+// and, when explained, as the verdict.
+func (b *Broker) award(ar *scanArena, rec bool, ex *explainSink, ci int32, cd *candidate, slot int) {
+	d := dispDisplaced
+	if cd != nil {
+		d = dispOffered
+	}
+	if rec {
+		ar.fev = append(ar.fev, funnelEvent{id: ar.cand[ci].id, disp: d})
+	}
+	if ex != nil {
+		ec := &ex.rep.Candidates[ex.at[ci]]
+		ec.Disposition = dispositionNames[d]
+		if cd != nil {
+			ec.Bids[cd.AdType].Chosen = true
+			ec.Offer = explainOffer(cd, b.cfg.AdTypes, slot)
+			ex.rep.Offered++
 		}
 	}
-	return dst
 }

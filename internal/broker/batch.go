@@ -19,8 +19,6 @@ package broker
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
 	"time"
 
 	"muaa/internal/trace"
@@ -126,19 +124,11 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 	results := make([]BatchResult, len(batch))
 	live := 0
 	for i := range batch {
-		a := &batch[i]
-		if a.Capacity < 0 {
+		if err := batch[i].validate(); err != nil {
 			if m != nil {
 				m.arrivalErrors.Inc()
 			}
-			results[i].Err = fmt.Errorf("broker: capacity %d", a.Capacity)
-			continue
-		}
-		if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {
-			if m != nil {
-				m.arrivalErrors.Inc()
-			}
-			results[i].Err = fmt.Errorf("broker: view probability %g", a.ViewProb)
+			results[i].Err = err
 			continue
 		}
 		live++
@@ -215,12 +205,10 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 		}
 	}()
 
-	// The slate flag is read once under the locks (see arrive); the record
-	// format additionally upgrades to v2 bodies only when billing is truly
-	// active, so a forced-slate all-fixed broker still writes the legacy
+	// The record format upgrades to v2 bodies only once billing is active,
+	// read once under the locks, so an all-fixed broker writes the legacy
 	// stream byte-identically.
 	slateRec := b.billing.active.Load()
-	slate := slateRec || b.cfg.Slate
 
 	// One batch record frames the whole batch; each element is encoded right
 	// after its arrival's commit so it carries the same γ bits the serial
@@ -254,29 +242,10 @@ func (b *Broker) arriveBatch(batch []Arrival, t *trace.Trace) []BatchResult {
 		}
 		s0, s1 := b.stripes.Range(a.Loc.Y-maxR, a.Loc.Y+maxR)
 		dir := b.gatherCandidates(ar, a.Loc, s0, s1)
-		boost := 1.0
-		if b.controller != nil {
-			boost = b.phiBoost.Load()
-		}
-		var tally scanTally
-		if slate {
-			tally = b.scanSlate(ar, a, dir, boost)
-		} else {
-			tally = b.scanCandidates(ar, a, dir, boost)
-		}
-		agg.add(tally)
-		if b.funnel != nil {
-			// Fold per arrival: the arena's event slice is rebuilt by every
-			// scan, so attribution must land before the next arrival reuses it.
-			b.funnel.fold(ar)
-		}
+		agg.add(b.decide(ar, a, dir))
 		n0 := len(offers)
 		if len(ar.cands) > 0 {
-			if slate {
-				offers = b.commitSlate(ar, offers)
-			} else {
-				offers = b.commitOffers(ar, offers)
-			}
+			offers = b.commit(ar, offers)
 			// Full-slice expression: a later arrival's append can grow past
 			// this segment's length but never overwrite it.
 			results[i].Offers = offers[n0:len(offers):len(offers)]

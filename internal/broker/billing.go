@@ -264,7 +264,7 @@ func registerBillingMetrics(reg *obs.Registry, bl *billingState) {
 	for m := model.BillingModel(0); m.Valid(); m++ {
 		acc := &bl.revenue[m]
 		reg.NewCounterFunc("muaa_billing_revenue_total",
-			"Slate-path charged revenue by billing model (offer-time for fixed/cpm, conversion-time for cpc/cpa).",
+			"Charged revenue by billing model (offer-time for fixed/cpm, conversion-time for cpc/cpa).",
 			func() float64 { return acc.Load() }, obs.L("model", m.String()))
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"muaa/internal/core"
 	"muaa/internal/geo"
 	"muaa/internal/model"
 	"muaa/internal/obs"
@@ -24,9 +25,10 @@ type Config struct {
 	// AdTypes is the catalog offered to campaigns; must be non-empty with
 	// positive costs.
 	AdTypes []model.AdType
-	// G is the adaptive-threshold base; zero selects 2e and the broker
-	// re-derives it from observed efficiency bounds as traffic accumulates
-	// (g = e·γ_max/γ_min, clamped to [2e, 1e9]).
+	// G is the adaptive-threshold base; zero makes the broker re-derive it
+	// from the observed efficiency bounds as traffic accumulates
+	// (core.TunedG: g = e·γ_max/γ_min clamped to [2e, 1e9], 2e until the
+	// bounds are distinct).
 	G float64
 	// Preference scores customer interest vectors against campaign tag
 	// vectors; nil selects the paper's Pearson preference with uniform
@@ -97,14 +99,6 @@ type Config struct {
 	// also be driven manually (simulations, tests). Nil disables the
 	// controller entirely — the hot path then pays one pointer check.
 	Controller *pacing.Config
-	// Slate forces the slate scan path (MCKP slot fill + auction pricing)
-	// even when no billed campaign is registered. The slate path activates
-	// automatically the moment a campaign registers with a non-fixed billing
-	// contract; this flag exists for benchmarks and equivalence tests that
-	// exercise the slate machinery on an all-fixed fleet. With every arrival
-	// at capacity 1 the slate path's decisions are bit-identical to the
-	// legacy scan (TestSlateEquivalenceSerial).
-	Slate bool
 	// MaxOpenOffers bounds the escrow table of outstanding CPC/CPA offers
 	// (and the conversion idempotency-key window). When a new escrowed offer
 	// would exceed the bound, the oldest open offer is expired and its hold
@@ -151,9 +145,8 @@ type Campaign struct {
 func (c *Campaign) Remaining() float64 { return c.Budget - c.Spent }
 
 // Offer is one ad pushed to an arriving customer. The billing fields (ID,
-// ChargeECPM, Hold, Model) are filled only by the slate path for campaigns
-// on auction billing; a fixed-cost offer carries Cost alone with the rest
-// zero, exactly as the legacy scan produced it.
+// ChargeECPM, Hold, Model) are filled only for campaigns on auction
+// billing; a fixed-cost offer carries Cost alone with the rest zero.
 type Offer struct {
 	Campaign   int32
 	AdType     int
@@ -265,8 +258,7 @@ type Broker struct {
 	offers   atomic.Int64
 	utility  atomicFloat
 	spent    atomicFloat
-	gammaMin atomicFloat // +Inf until the first efficiency is observed
-	gammaMax atomicFloat // 0 until the first efficiency is observed
+	gamma    gammaBounds
 
 	// controller is nil unless Config.Controller was set; like metrics it is
 	// read-only after New. phiBoost (1 when inert) multiplies the admission
@@ -279,8 +271,8 @@ type Broker struct {
 
 	// billing is the escrow/auction sidecar, always allocated (cheap). Its
 	// active flag flips true — monotonically — when the first campaign with
-	// a non-fixed contract registers; arrivals check it once, after their
-	// stripe locks are held, to pick the scan path.
+	// a non-fixed contract registers; the scan reads it once per arrival,
+	// under the stripe locks.
 	billing *billingState
 
 	// funnel is nil unless Config.Funnel.Enabled; set once in newMemory and
@@ -363,7 +355,7 @@ func newMemory(cfg Config) (*Broker, error) {
 	}
 	empty := make([]*campaign, 0)
 	b.dir.Store(&empty)
-	b.gammaMin.Store(math.Inf(1))
+	b.gamma.min.Store(math.Inf(1))
 	b.phiBoost.Store(1)
 	b.billing = newBillingState(cfg.MaxOpenOffers)
 	if cfg.Controller != nil {
@@ -427,8 +419,8 @@ type CampaignSpec struct {
 	Floor      float64
 	Penalty    float64
 	// Billing is the campaign's billing contract. The zero value keeps the
-	// seed fixed-cost semantics; any non-fixed contract activates the
-	// broker's slate scan path for all subsequent arrivals.
+	// seed fixed-cost semantics; any non-fixed contract activates billing,
+	// so later arrivals with a_i ≥ 2 fill their slots with the MCKP solver.
 	Billing model.Billing
 }
 
@@ -485,7 +477,7 @@ func (b *Broker) RegisterCampaignSpec(spec CampaignSpec) (int32, error) {
 		// Flipped before the directory (and therefore grid) publication: an
 		// arrival that can see this campaign as a candidate acquired the
 		// shard lock its grid entry was inserted under, so it also sees the
-		// flag and takes the slate path. Monotone — never cleared.
+		// flag. Monotone — never cleared.
 		b.billing.active.Store(true)
 	}
 	// Publish the directory entry before the grid entry: arrivals discover
@@ -665,17 +657,11 @@ func (b *Broker) ArriveTraced(a Arrival, req *trace.Request) ([]Offer, error) {
 // adds no clock reads beyond the instrumented path's.
 func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error) {
 	m := b.metrics
-	if a.Capacity < 0 {
+	if err := a.validate(); err != nil {
 		if m != nil {
 			m.arrivalErrors.Inc()
 		}
-		return dst, fmt.Errorf("broker: capacity %d", a.Capacity)
-	}
-	if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {
-		if m != nil {
-			m.arrivalErrors.Inc()
-		}
-		return dst, fmt.Errorf("broker: view probability %g", a.ViewProb)
+		return dst, err
 	}
 	if b.wal == nil {
 		b.arrivals.Add(1)
@@ -755,11 +741,7 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 	}
 
 	// The lowest locked stripe's arena is exclusively ours while the locks
-	// are held (see scanArena's ownership rule). The slate flag is read
-	// after the stripe locks: a billed campaign visible in any held shard's
-	// grid was inserted under that shard's lock after the flag flipped, so
-	// a candidate on auction billing is never scanned by the legacy pass.
-	slate := b.cfg.Slate || b.billing.active.Load()
+	// are held (see scanArena's ownership rule).
 	ar := &b.shards[s0].arena
 	dir := b.gatherCandidates(ar, a.Loc, s0, s1)
 	if timed {
@@ -774,24 +756,7 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 		}
 	}
 
-	// The controller's boost is loaded once per arrival so every candidate in
-	// the scan sees the same threshold scaling (PacingStep only swaps it
-	// under full shard quiescence, which this arrival's held locks exclude).
-	boost := 1.0
-	if b.controller != nil {
-		boost = b.phiBoost.Load()
-	}
-	var tally scanTally
-	if slate {
-		tally = b.scanSlate(ar, &a, dir, boost)
-	} else {
-		tally = b.scanCandidates(ar, &a, dir, boost)
-	}
-	if b.funnel != nil {
-		// Fold the scan's attribution events while the stripe locks still own
-		// the arena (the event slice is arena scratch).
-		b.funnel.fold(ar)
-	}
+	tally := b.decide(ar, &a, dir)
 	if timed {
 		el := time.Since(tStart)
 		d := el - elStage
@@ -823,11 +788,7 @@ func (b *Broker) arrive(dst []Offer, a Arrival, t *trace.Trace) ([]Offer, error)
 		return dst, nil
 	}
 	n0 := len(dst)
-	if slate {
-		dst = b.commitSlate(ar, dst)
-	} else {
-		dst = b.commitOffers(ar, dst)
-	}
+	dst = b.commit(ar, dst)
 	if b.wal != nil {
 		// Logged after every charge has landed and before the stripe locks
 		// release: the record carries the post-arrival γ bits and exactly
@@ -863,57 +824,98 @@ func (b *Broker) observeArrival(m *brokerMetrics, t *trace.Trace, lane int, d ti
 	}
 }
 
-// observeEfficiency folds a positive efficiency into the running γ bounds.
-// Lock-free: γ_min is lowered before γ_max is raised, so any reader that
-// sees γ_max > 0 (the "seen" signal) also sees a finite γ_min.
-func (b *Broker) observeEfficiency(eff float64) {
-	if eff <= 0 || math.IsNaN(eff) || math.IsInf(eff, 0) {
-		return
-	}
-	b.gammaMin.Min(eff)
-	b.gammaMax.Max(eff)
-}
-
 // guaranteeRelief scales the admission threshold for a guaranteed campaign
 // that is behind its pro-rated delivery floor: φ is quartered, not zeroed, so
 // catching up still prefers efficient offers.
 const guaranteeRelief = 0.25
 
-// threshold evaluates the adaptive admission threshold at used-budget ratio
-// delta, with g either configured or derived from the observed γ bounds.
-func (b *Broker) threshold(delta float64) float64 {
-	gmax := b.gammaMax.Load()
+// gammaBounds is the running efficiency range [γ_min, γ_max] the scan
+// observes into and derives φ(δ) from. Lock-free: γ_min is lowered before
+// γ_max is raised, so any reader that sees γ_max > 0 (the "seen" signal)
+// also sees a finite γ_min. The broker holds one; Explain scans against a
+// private copy so its feed-forward observations never reach live state.
+type gammaBounds struct {
+	min atomicFloat // +Inf until the first efficiency is observed
+	max atomicFloat // 0 until the first efficiency is observed
+}
+
+// observe folds a positive, finite efficiency into the bounds.
+func (gb *gammaBounds) observe(eff float64) {
+	if eff <= 0 || math.IsNaN(eff) || math.IsInf(eff, 0) {
+		return
+	}
+	gb.min.Min(eff)
+	gb.max.Max(eff)
+}
+
+// seen returns the bounds as Stats reports them: zeros until the first
+// observation.
+func (gb *gammaBounds) seen() (gmin, gmax float64) {
+	gmax = gb.max.Load()
 	if gmax == 0 {
-		return 0 // nothing observed yet: admit anything (paper's intuition)
+		return 0, 0
 	}
-	gmin := b.gammaMin.Load()
-	g := b.cfg.G
+	return gb.min.Load(), gmax
+}
+
+// g returns the threshold base φ uses: the configured cfgG, or the tuning
+// rule over the current bounds.
+func (gb *gammaBounds) g(cfgG float64) float64 {
+	if cfgG != 0 {
+		return cfgG
+	}
+	return core.TunedG(gb.min.Load(), gb.max.Load())
+}
+
+// estimateG is the unclamped e·γ_max/γ_min estimate Stats and the
+// threshold_g gauge report (the configured g when set, 0 until the bounds
+// are distinct).
+func (gb *gammaBounds) estimateG(cfgG float64) float64 {
+	gmin, gmax := gb.seen()
+	if cfgG == 0 && gmax > gmin {
+		return math.E * gmax / gmin
+	}
+	return cfgG
+}
+
+// threshold evaluates the adaptive admission threshold φ(δ) at used-budget
+// ratio delta; 0 (admit anything, the paper's intuition) until the first
+// observation.
+func (gb *gammaBounds) threshold(cfgG, delta float64) float64 {
+	gmax := gb.max.Load()
+	if gmax == 0 {
+		return 0
+	}
+	gmin := gb.min.Load()
+	g := cfgG
 	if g == 0 {
-		g = 2 * math.E
-		if gmax > gmin {
-			g = math.E * gmax / gmin
-			if g < 2*math.E {
-				g = 2 * math.E
-			}
-			if g > 1e9 {
-				g = 1e9
-			}
-		}
+		g = core.TunedG(gmin, gmax)
 	}
-	return gmin / math.E * math.Pow(g, delta)
+	return core.AdaptiveThreshold{GammaMin: gmin, G: g}.Value(delta)
+}
+
+// clone returns an independent copy of the current bounds.
+func (gb *gammaBounds) clone() *gammaBounds {
+	c := &gammaBounds{}
+	c.min.Store(gb.min.Load())
+	c.max.Store(gb.max.Load())
+	return c
+}
+
+// validate applies the arrival contract every entry point shares.
+func (a *Arrival) validate() error {
+	if a.Capacity < 0 {
+		return fmt.Errorf("broker: capacity %d", a.Capacity)
+	}
+	if a.ViewProb < 0 || a.ViewProb > 1 || math.IsNaN(a.ViewProb) {
+		return fmt.Errorf("broker: view probability %g", a.ViewProb)
+	}
+	return nil
 }
 
 // Stats returns a lock-free snapshot of the broker counters.
 func (b *Broker) Stats() Stats {
-	gmax := b.gammaMax.Load()
-	gmin := b.gammaMin.Load()
-	if gmax == 0 {
-		gmin = 0 // report the unseen state as zeros, as the original broker did
-	}
-	g := b.cfg.G
-	if g == 0 && gmax > gmin && gmax > 0 {
-		g = math.E * gmax / gmin
-	}
+	gmin, gmax := b.gamma.seen()
 	return Stats{
 		Campaigns:     len(*b.dir.Load()),
 		Arrivals:      b.arrivals.Load(),
@@ -922,7 +924,7 @@ func (b *Broker) Stats() Stats {
 		BudgetSpent:   b.spent.Load(),
 		GammaMin:      gmin,
 		GammaMax:      gmax,
-		G:             g,
+		G:             b.gamma.estimateG(b.cfg.G),
 		PhiBoost:      b.phiBoost.Load(),
 		PacingEpoch:   b.pacingEpoch.Load(),
 

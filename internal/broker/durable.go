@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"muaa/internal/model"
 	"muaa/internal/obs"
 	"muaa/internal/wal"
 )
@@ -375,10 +376,9 @@ func (b *Broker) logPause(id int32, paused bool) {
 // the bounds are monotone — every observation is ≤/≥ the bits some record
 // carries.
 func (b *Broker) logArrival(a *Arrival, offers []Offer) {
-	// The slate record format rides the same monotone flag the scan path
-	// reads: once billing is active every arrival (under its stripe locks,
-	// which this call still holds) scans slates, so checking here can never
-	// write a legacy record for a slate-committed offer set.
+	// The slate record format rides the same monotone flag the scan reads
+	// under the stripe locks this call still holds, so an offer set that
+	// can carry billing fields is never written as a legacy record.
 	slate := b.billing.active.Load()
 	bp := recPool.Get().(*[]byte)
 	kind := recArrivalV2
@@ -440,8 +440,8 @@ func (b *Broker) appendArrivalBody(buf []byte, a *Arrival, offers []Offer) []byt
 // appendArrivalHeader encodes the γ bounds and customer features every
 // arrival body layout shares.
 func (b *Broker) appendArrivalHeader(buf []byte, a *Arrival) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMin.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMax.bits.Load())
+	buf = binary.LittleEndian.AppendUint64(buf, b.gamma.min.bits.Load())
+	buf = binary.LittleEndian.AppendUint64(buf, b.gamma.max.bits.Load())
 	buf = appendF64(buf, a.Loc.X)
 	buf = appendF64(buf, a.Loc.Y)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Capacity))
@@ -556,28 +556,18 @@ func (b *Broker) applyRecord(rec []byte) error {
 		return b.TopUp(d.Campaign, d.Amount)
 	case RecordPause:
 		return b.SetPaused(d.Campaign, d.Paused)
-	case RecordArrival, RecordArrivalV2:
+	case RecordArrival, RecordArrivalV2, RecordArrivalSlate:
 		// Replay in the original commit order: counter, γ fold, then each
 		// offer's charge — the same accumulator sequence Arrive performed,
 		// so serial replay reproduces every float bit for bit.
-		return b.applyArrival(d.GammaMin, d.GammaMax, d.Offers)
-	case RecordArrivalBatch:
+		return b.replayArrival(d.GammaMin, d.GammaMax, d.Offers)
+	case RecordArrivalBatch, RecordArrivalBatchV2:
 		// Each element replays exactly like a serial arrival record, in the
 		// batch's processing order, so a batched history recovers to the
 		// same bits as the equivalent serial one.
 		for i := range d.Batch {
 			e := &d.Batch[i]
-			if err := b.applyArrival(e.GammaMin, e.GammaMax, e.Offers); err != nil {
-				return err
-			}
-		}
-		return nil
-	case RecordArrivalSlate:
-		return b.applyArrivalSlate(d.GammaMin, d.GammaMax, d.Offers)
-	case RecordArrivalBatchV2:
-		for i := range d.Batch {
-			e := &d.Batch[i]
-			if err := b.applyArrivalSlate(e.GammaMin, e.GammaMax, e.Offers); err != nil {
+			if err := b.replayArrival(e.GammaMin, e.GammaMax, e.Offers); err != nil {
 				return err
 			}
 		}
@@ -588,34 +578,16 @@ func (b *Broker) applyRecord(rec []byte) error {
 	return fmt.Errorf("unknown record type %d", byte(d.Kind))
 }
 
-// applyArrival folds one logged arrival into the recovering broker: the
-// counter, the γ bounds, then every offer's charge, in commit order.
-func (b *Broker) applyArrival(gammaMin, gammaMax float64, offers []Offer) error {
+// replayArrival folds one logged arrival into the recovering broker in the
+// original commit order: the counter, the γ bounds, then every offer's
+// effects exactly as commit performed them — escrow registration (under the
+// recorded offer ID, so later conversion records resolve) for deferred
+// offers, revenue accounting for the rest. A legacy-format offer decodes
+// with Hold 0 and the fixed model.
+func (b *Broker) replayArrival(gammaMin, gammaMax float64, offers []Offer) error {
 	b.arrivals.Add(1)
-	b.gammaMin.Min(gammaMin)
-	b.gammaMax.Max(gammaMax)
-	for i := range offers {
-		o := &offers[i]
-		c, err := b.campaign(o.Campaign)
-		if err != nil {
-			return err
-		}
-		c.spent.Store(c.spent.Load() + o.Cost)
-		b.spent.Add(o.Cost)
-		b.utility.Add(o.Utility)
-		b.offers.Add(1)
-	}
-	return nil
-}
-
-// applyArrivalSlate replays one slate-format arrival: the legacy
-// accumulator sequence plus the billing effects commitSlate performed —
-// escrow registration (under the recorded offer ID, so later conversion
-// records resolve) for deferred offers, revenue accounting for the rest.
-func (b *Broker) applyArrivalSlate(gammaMin, gammaMax float64, offers []Offer) error {
-	b.arrivals.Add(1)
-	b.gammaMin.Min(gammaMin)
-	b.gammaMax.Max(gammaMax)
+	b.gamma.min.Min(gammaMin)
+	b.gamma.max.Max(gammaMax)
 	bl := b.billing
 	for i := range offers {
 		o := &offers[i]
@@ -699,8 +671,8 @@ func (b *Broker) encodeSnapshot() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.offers.Load()))
 	buf = binary.LittleEndian.AppendUint64(buf, b.utility.bits.Load())
 	buf = binary.LittleEndian.AppendUint64(buf, b.spent.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMin.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMax.bits.Load())
+	buf = binary.LittleEndian.AppendUint64(buf, b.gamma.min.bits.Load())
+	buf = binary.LittleEndian.AppendUint64(buf, b.gamma.max.bits.Load())
 	buf = binary.LittleEndian.AppendUint64(buf, b.phiBoost.bits.Load())
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(b.pacingEpoch.Load()))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dir)))
@@ -820,11 +792,16 @@ func (b *Broker) applySnapshot(data []byte) error {
 	b.offers.Store(s.Offers)
 	b.utility.bits.Store(s.UtilityBits)
 	b.spent.bits.Store(s.SpentBits)
-	b.gammaMin.bits.Store(s.GammaMinBits)
-	b.gammaMax.bits.Store(s.GammaMaxBits)
+	b.gamma.min.bits.Store(s.GammaMinBits)
+	b.gamma.max.bits.Store(s.GammaMaxBits)
 	b.phiBoost.bits.Store(s.PhiBoostBits)
 	b.pacingEpoch.Store(s.PacingEpoch)
-	if s.Billing != nil {
+	if s.Billing == nil {
+		// A snapshot without a billing section predates the first billed
+		// campaign, so every charge so far was fixed-cost revenue, added in
+		// the same order as the global spend.
+		b.billing.revenue[model.BillingFixed].bits.Store(s.SpentBits)
+	} else {
 		bl := b.billing
 		sb := s.Billing
 		bl.nextID = sb.NextID

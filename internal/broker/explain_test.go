@@ -1,13 +1,16 @@
 package broker
 
 // Explain-replay tests: the report must predict an immediately-following
-// Arrive exactly (offers field for field, on the legacy and both slate
-// paths), must be provably read-only (golden replay transcripts stay
-// byte-identical with an explain interleaved before every arrival), and the
-// HTTP surface must honor the API's envelope contract.
+// Arrive exactly (offers field for field, unbilled and billed, single-slot
+// and slot-solver), must be provably read-only (golden replay transcripts
+// stay byte-identical with an explain interleaved before every arrival),
+// must stay field-for-field pinned by its own golden, and the HTTP surface
+// must honor the API's envelope contract.
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +18,7 @@ import (
 	"strings"
 	"testing"
 
+	"muaa/internal/core"
 	"muaa/internal/geo"
 	"muaa/internal/model"
 	"muaa/internal/obs"
@@ -95,17 +99,17 @@ func matchPrediction(t *testing.T, op int, rep *ExplainReport, offers []Offer) {
 	}
 }
 
-// TestExplainPredictsArrive replays seeded mixed traffic and, before every
-// arrival, asks Explain for its prediction: the immediately-following Arrive
-// must commit exactly the predicted offers. Covers the legacy scan, pacing,
-// fixed g, the slate single-slot auction, and the MCKP slots path.
-func TestExplainPredictsArrive(t *testing.T) {
-	type tcase struct {
-		name string
-		cfg  Config
-		load workload.BrokerLoadConfig
-	}
-	cases := []tcase{
+// explainCase is one seeded traffic stream the explain tests replay.
+type explainCase struct {
+	name string
+	cfg  Config
+	load workload.BrokerLoadConfig
+}
+
+// explainCases covers the unbilled fleet (default, pacing, fixed g), the
+// billed single-slot auction, and the billed MCKP slot solver.
+func explainCases() []explainCase {
+	return []explainCase{
 		{"legacy", Config{AdTypes: workload.DefaultAdTypes()},
 			workload.DefaultBrokerLoadConfig(24, 1500, 11)},
 		{"paced", Config{AdTypes: workload.DefaultAdTypes(), Pacing: 1.25},
@@ -125,52 +129,109 @@ func TestExplainPredictsArrive(t *testing.T) {
 				return c
 			}()},
 	}
-	for _, tc := range cases {
+}
+
+// replayExplained replays tc's stream with an Explain before every
+// arrival, handing each report and the offers the following Arrive
+// committed to check. Returns the number of arrivals replayed.
+func replayExplained(t *testing.T, tc explainCase, check func(op int, rep *ExplainReport, offers []Offer)) int {
+	t.Helper()
+	tc.cfg.Funnel.Enabled = true
+	b, err := New(tc.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, ops, err := workload.BrokerLoad(tc.load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	registerLoad(t, b, specs)
+	var open []uint64
+	arrivals := 0
+	for i, op := range ops {
+		if op.Kind != workload.OpArrival {
+			applyBilledOp(t, b, op, &open)
+			continue
+		}
+		a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
+			Interests: op.Interests, Hour: op.Hour}
+		rep, err := b.Explain(a)
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		offers, err := b.Arrive(a)
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+		check(i, rep, offers)
+		for _, o := range offers {
+			if o.ID != 0 {
+				open = append(open, o.ID)
+			}
+		}
+		arrivals++
+	}
+	return arrivals
+}
+
+// TestExplainPredictsArrive replays seeded mixed traffic and, before every
+// arrival, asks Explain for its prediction: the immediately-following Arrive
+// must commit exactly the predicted offers. Covers the unbilled fleet,
+// pacing, fixed g, the billed single-slot auction, and the MCKP slots path.
+func TestExplainPredictsArrive(t *testing.T) {
+	for _, tc := range explainCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.cfg.Funnel.Enabled = true
-			b, err := New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			specs, ops, err := workload.BrokerLoad(tc.load)
-			if err != nil {
-				t.Fatal(err)
-			}
-			registerLoad(t, b, specs)
-			var open []uint64
-			arrivals, slate := 0, false
-			for i, op := range ops {
-				if op.Kind != workload.OpArrival {
-					applyBilledOp(t, b, op, &open)
-					continue
-				}
-				a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
-					Interests: op.Interests, Hour: op.Hour}
-				rep, err := b.Explain(a)
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
+			slate := false
+			arrivals := replayExplained(t, tc, func(op int, rep *ExplainReport, offers []Offer) {
 				explainConserved(t, rep)
-				offers, err := b.Arrive(a)
-				if err != nil {
-					t.Fatalf("op %d: %v", i, err)
-				}
-				matchPrediction(t, i, rep, offers)
-				for _, o := range offers {
-					if o.ID != 0 {
-						open = append(open, o.ID)
-					}
-				}
-				arrivals++
+				matchPrediction(t, op, rep, offers)
 				slate = slate || rep.Slate
-			}
+			})
 			if arrivals == 0 {
 				t.Fatal("load produced no arrivals")
 			}
 			if wantSlate := tc.load.CPMFrac > 0; slate != wantSlate {
-				t.Fatalf("slate path = %v, want %v", slate, wantSlate)
+				t.Fatalf("billing active = %v, want %v", slate, wantSlate)
 			}
 		})
+	}
+}
+
+// TestExplainMatchesGolden pins the full Explain report, field for field,
+// over every explainCases stream: one JSON line per arrival. Regenerate with
+// `go test ./internal/broker -run ExplainMatchesGolden -update` only for an
+// intentional change to the report.
+func TestExplainMatchesGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, tc := range explainCases() {
+		// The stripe interval is reported, so pin the shard count instead of
+		// letting it follow GOMAXPROCS.
+		tc.cfg.Shards = 4
+		replayExplained(t, tc, func(op int, rep *ExplainReport, _ []Offer) {
+			line, err := json.Marshal(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "%s %d %s\n", tc.name, op, line)
+		})
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "explain.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden (run with -update): %v", err)
+	}
+	if got != string(want) {
+		i := firstDiff(got, string(want))
+		line, _, _ := strings.Cut(got[strings.LastIndexByte(got[:i], '\n')+1:], "\n")
+		t.Fatalf("explain reports diverged from the golden (%d vs %d bytes); first differing line:\n%s",
+			len(got), len(want), line)
 	}
 }
 
@@ -207,6 +268,61 @@ func TestReplayMatchesGoldenExplainInterleaved(t *testing.T) {
 			if got != string(want) {
 				t.Fatalf("interleaved explain changed the replay transcript (%d vs %d bytes, first diff at byte %d)",
 					len(got), len(want), firstDiff(got, string(want)))
+			}
+		})
+	}
+}
+
+// TestExplainReportsThresholdG pins ExplainReport.G to the g φ actually
+// used: the tuning rule's 2e floor when the observed bounds are degenerate
+// (γ_min == γ_max) and when their ratio is below 2, where Stats.G keeps
+// reporting the unclamped e·γ_max/γ_min estimate.
+func TestExplainReportsThresholdG(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		views []float64 // viewProbs of the warm-up arrivals
+	}{
+		{"degenerate", []float64{0.5}},
+		{"ratio_below_2", []float64{0.5, 0.75}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := New(Config{AdTypes: []model.AdType{{Name: "banner", Cost: 1, Effect: 1}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := b.RegisterCampaign(geo.Point{X: 0.5, Y: 0.5}, 0.2, 1e6, []float64{1, 0.2, 0.4}); err != nil {
+				t.Fatal(err)
+			}
+			a := Arrival{Loc: geo.Point{X: 0.55, Y: 0.5}, Capacity: 1,
+				Interests: []float64{0.9, 0.1, 0.5}, Hour: 12}
+			for _, v := range tc.views {
+				a.ViewProb = v
+				if _, err := b.Arrive(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := b.Stats()
+			ratio := st.GammaMax / st.GammaMin
+			if ratio >= 2 || (len(tc.views) > 1) != (ratio > 1) {
+				t.Fatalf("warm-up left γ ratio %v", ratio)
+			}
+			rep, err := b.Explain(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.G != 2*math.E {
+				t.Fatalf("report g = %v, want the clamped 2e", rep.G)
+			}
+			if len(rep.Candidates) != 1 {
+				t.Fatalf("report has %d candidates, want 1", len(rep.Candidates))
+			}
+			c := rep.Candidates[0]
+			phi := core.AdaptiveThreshold{GammaMin: rep.GammaMin, G: rep.G}
+			if want := phi.Value(c.Delta); c.Threshold != want {
+				t.Fatalf("candidate threshold %v, want φ(δ) = %v at the reported g", c.Threshold, want)
+			}
+			if wantG := math.E * ratio; ratio > 1 && st.G != wantG {
+				t.Fatalf("Stats.G = %v, want the unclamped estimate %v", st.G, wantG)
 			}
 		})
 	}

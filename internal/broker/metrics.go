@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"math"
 	"strconv"
 
 	"muaa/internal/obs"
@@ -69,18 +68,18 @@ var (
 // foldScanTally adds one scan's outcome tallies (accumulated branch-free in
 // the scan loop) into the registered counters.
 func (m *brokerMetrics) foldScanTally(t *scanTally) {
-	m.scanOffered.Add(t.offered)
-	m.scanPaused.Add(t.paused)
-	m.scanExhausted.Add(t.exhausted)
-	m.scanMismatch.Add(t.mismatch)
-	m.scanLowScore.Add(t.lowScore)
-	m.scanUnaffordable.Add(t.unaffordable)
-	m.scanBelowThreshold.Add(t.belowThreshold)
-	if t.belowReserve > 0 {
-		m.scanBelowReserve.Add(t.belowReserve)
+	m.scanOffered.Add(t.n[dispOffered])
+	m.scanPaused.Add(t.n[dispPaused])
+	m.scanExhausted.Add(t.n[dispExhausted])
+	m.scanMismatch.Add(t.n[dispTagMismatch])
+	m.scanLowScore.Add(t.n[dispLowScore])
+	m.scanUnaffordable.Add(t.n[dispUnaffordable])
+	m.scanBelowThreshold.Add(t.n[dispBelowThreshold])
+	if t.n[dispBelowReserve] > 0 {
+		m.scanBelowReserve.Add(t.n[dispBelowReserve])
 	}
-	if t.trimmed > 0 {
-		m.capacityTrimmed.Add(t.trimmed)
+	if t.n[dispDisplaced] > 0 {
+		m.capacityTrimmed.Add(t.n[dispDisplaced])
 	}
 }
 
@@ -182,29 +181,20 @@ func newBrokerMetrics(reg *obs.Registry, b *Broker) *brokerMetrics {
 	reg.NewGaugeFunc("muaa_broker_gamma_min",
 		"Running minimum observed offer efficiency (0 until the first observation).",
 		func() float64 {
-			if b.gammaMax.Load() == 0 {
-				return 0
-			}
-			return b.gammaMin.Load()
+			gmin, _ := b.gamma.seen()
+			return gmin
 		})
 	reg.NewGaugeFunc("muaa_broker_gamma_max",
 		"Running maximum observed offer efficiency.",
-		func() float64 { return b.gammaMax.Load() })
+		func() float64 { return b.gamma.max.Load() })
 	reg.NewGaugeFunc("muaa_broker_threshold_g",
 		"Adaptive threshold base g: configured, or derived as e·γ_max/γ_min once observations exist.",
-		func() float64 {
-			g := b.cfg.G
-			gmax, gmin := b.gammaMax.Load(), b.gammaMin.Load()
-			if g == 0 && gmax > gmin && gmax > 0 {
-				g = math.E * gmax / gmin
-			}
-			return g
-		})
+		func() float64 { return b.gamma.estimateG(b.cfg.G) })
 	for _, delta := range []float64{0, 0.5, 1} {
 		delta := delta
 		reg.NewGaugeFunc("muaa_broker_threshold",
 			"Live admission threshold φ(δ) = γ_min/e · g^δ at reference budget-usage ratios δ.",
-			func() float64 { return b.threshold(delta) },
+			func() float64 { return b.gamma.threshold(b.cfg.G, delta) },
 			obs.L("delta", strconv.FormatFloat(delta, 'g', -1, 64)))
 	}
 	registerBillingMetrics(reg, b.billing)

@@ -66,8 +66,8 @@ func TestDecodeRecordV2RoundTrip(t *testing.T) {
 	bp := recPool.Get().(*[]byte)
 	buf := (*bp)[:0]
 	buf = append(buf, recArrivalV2)
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMin.bits.Load())
-	buf = binary.LittleEndian.AppendUint64(buf, b.gammaMax.bits.Load())
+	buf = binary.LittleEndian.AppendUint64(buf, b.gamma.min.bits.Load())
+	buf = binary.LittleEndian.AppendUint64(buf, b.gamma.max.bits.Load())
 	buf = appendF64(buf, a.Loc.X)
 	buf = appendF64(buf, a.Loc.Y)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Capacity))

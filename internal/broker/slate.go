@@ -1,32 +1,30 @@
 package broker
 
-// The slate scan: MCKP slot fill with eCPM-normalized auction pricing.
+// Billing in the decision scan: MCKP slot fill and eCPM-normalized auction
+// pricing.
 //
-// The legacy scan picks one best item per candidate, then trims to capacity
-// by efficiency — an exact MCKP hull-greedy only at capacity 1. The slate
-// scan generalizes it: each surviving candidate becomes an MCKP class whose
-// items are the threshold-admitted (ad-type) choices priced at billing-
-// expected cost, and up to a_i slots are filled by knapsack.SlotSolver. At
-// capacity 1 the walk below is shaped exactly like the legacy pass B, so an
-// all-fixed fleet takes bit-identical decisions (TestSlateEquivalenceSerial);
-// the broker routes arrivals here only when a billed campaign exists or
-// Config.Slate forces it.
+// Every campaign bids in eCPM (model.Billing.BidECPM) and is admitted on
+// efficiency per billing-expected cost; a fixed-cost campaign bids its
+// catalog cost ×1000 with no reserve, so its arithmetic is the seed's.
+// While no billed campaign exists, or at a_i = 1, each candidate keeps one
+// best item and keepBest (arena.go) fills the slots. Once billing is active,
+// an arrival with a_i ≥ 2 makes each candidate an MCKP class of its
+// threshold-admitted items priced at expected cost, and knapsack.SlotSolver
+// fills up to a_i slots (solveSlots).
 //
-// Pricing follows the offer scan: each winner pays the displaced runner-up's
-// bid in eCPM, floored at its own reserve and capped at its own bid
-// (second-price with reserve). Fixed-billing winners bypass the auction and
-// are charged their catalog cost, exactly as the legacy commit charges them.
+// Pricing: each winner pays the displaced runner-up's bid in eCPM, floored
+// at its own reserve and capped at its own bid (second price with reserve).
+// Fixed-billing winners bypass the auction and are charged their catalog
+// cost.
 //
 // Money safety: affordability is checked against the raw per-event cost
 // t.Cost (not the expected cost), and every possible charge — catalog cost,
 // CPM second price /1000, deferred hold charge/1000/rate — is ≤ t.Cost, so
 // with remaining = budget − spent − escrow the invariant
-// spent + escrow ≤ budget (+ the legacy 1e-12 admission slack) holds through
+// spent + escrow ≤ budget (+ the 1e-12 admission slack) holds through
 // offer, conversion (escrow → spent, 1:1) and expiry (escrow released).
 
 import (
-	"math"
-
 	"muaa/internal/model"
 )
 
@@ -40,298 +38,17 @@ type slateItem struct {
 	bid    float64
 }
 
-// slateRep is the capacity-1 walk's per-candidate representative: the best
-// admitted item, shaped exactly like the legacy scan's bestK selection.
-type slateRep struct {
-	ci   int32 // index into ar.cand
-	k    int32
-	util float64
-	eff  float64
-	bid  float64
-}
-
-// scanSlate is the slate counterpart of scanCandidates: pass A computes the
-// γ-independent terms (identical to the legacy pass A plus the escrow
-// deduction — budget − spent − 0 is bit-identical to budget − spent, so
-// never-escrowed fleets see the same numbers), pass B folds billing into the
-// threshold walk and fills up to a.Capacity slots. Caller holds the stripe
-// locks that produced ar.ids.
-func (b *Broker) scanSlate(ar *scanArena, a *Arrival, dir []*campaign, boost float64) scanTally {
-	var tally scanTally
-	tally.gathered = uint64(len(ar.ids))
-	// Funnel attribution mirrors scanCandidates: every gathered id records
-	// exactly one disposition event when the funnel is enabled.
-	rec := b.funnel != nil
-	ar.fev = ar.fev[:0]
-	cu := &ar.customer
-	*cu = model.Customer{Loc: a.Loc, Capacity: a.Capacity, ViewProb: a.ViewProb,
-		Interests: a.Interests, Arrival: a.Hour}
-	ve := &ar.vendor
-	ar.cand = ar.cand[:0]
-	ar.base = ar.base[:0]
-	ar.delta = ar.delta[:0]
-	ar.remaining = ar.remaining[:0]
-	ar.headroom = ar.headroom[:0]
-	ar.relief = ar.relief[:0]
-	ar.cands = ar.cands[:0]
-
-	// Pass A: filters and the γ-independent per-candidate terms. Same
-	// sequence as scanCandidates pass A — the duplication is deliberate, so
-	// the legacy path stays untouched while the equivalence test pins this
-	// copy to it.
-	for _, id := range ar.ids {
-		c := dir[id]
-		if c.paused.Load() {
-			tally.paused++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: id, disp: dispPaused})
-			}
-			continue
-		}
-		budget := c.budget.Load()
-		if budget <= 0 {
-			tally.exhausted++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: id, disp: dispExhausted})
-			}
-			continue
-		}
-		if b.vectorPref && len(c.tags) != len(a.Interests) {
-			tally.mismatch++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: id, disp: dispTagMismatch})
-			}
-			continue // mismatched taxonomies: preference undefined, not served
-		}
-		spent := c.spent.Load()
-		*ve = model.Vendor{Loc: c.loc, Radius: c.radius, Budget: budget, Tags: c.tags}
-		var s float64
-		if b.vectorPref {
-			s, ar.weights = b.pearson.ScoreScratch(cu, ve, a.Hour, ar.weights)
-		} else {
-			s = b.pref.Score(cu, ve, a.Hour)
-		}
-		if s <= 0 || math.IsNaN(s) {
-			tally.lowScore++
-			if rec {
-				ar.fev = append(ar.fev, funnelEvent{id: id, disp: dispLowScore})
-			}
-			continue
-		}
-		if s > 1 {
-			s = 1
-		}
-		d := a.Loc.Dist(c.loc)
-		if d < b.minDist {
-			d = b.minDist
-		}
-		base := a.ViewProb * s / d
-		delta := spent / budget
-		relief := c.guaranteed && c.floor > 0 && spent < c.floor*budget*(a.Hour/24)
-		// Escrowed budget is committed money: it is unavailable to new
-		// offers until the conversion lands or the hold expires.
-		remaining := budget - spent - c.escrow.Load()
-		headroom := remaining
-		if b.cfg.Pacing > 0 {
-			allowance := b.cfg.Pacing * budget * a.Hour / 24
-			if paced := allowance - spent; paced < remaining {
-				remaining = paced
-			}
-		}
-		if b.controller != nil {
-			if paced := c.allowance.Load() - spent; paced < remaining {
-				remaining = paced
-			}
-		}
-		ar.cand = append(ar.cand, c)
-		ar.base = append(ar.base, base)
-		ar.delta = append(ar.delta, delta)
-		ar.remaining = append(ar.remaining, remaining)
-		ar.headroom = append(ar.headroom, headroom)
-		ar.relief = append(ar.relief, relief)
-	}
-
-	// Pass B: still the sequential O-AFA walk — γ observations feed forward
-	// candidate to candidate — with billing folded in. Capacity 1 keeps the
-	// legacy walk shape for bit-exact equivalence; larger capacities build
-	// MCKP classes and let the slot solver fill the slate.
-	if a.Capacity == 1 {
-		b.slatePassSingle(ar, &tally, boost, rec)
-	} else {
-		b.slatePassSlots(ar, a.Capacity, &tally, boost, rec)
-	}
-	return tally
-}
-
-// slateDisposition folds one servable-candidate outcome into the tally when
-// no item of the candidate was admitted, recording the matching funnel event
-// when attribution is on.
-func (b *Broker) slateDisposition(ar *scanArena, tally *scanTally, rec bool, id int32, affordable, aboveReserve bool, headroom float64) {
-	var d funnelDisposition
-	switch {
-	case aboveReserve:
-		tally.belowThreshold++
-		d = dispBelowThreshold
-	case affordable:
-		tally.belowReserve++
-		d = dispBelowReserve
-	case headroom < b.minAdCost:
-		tally.exhausted++
-		d = dispExhausted
-	default:
-		tally.unaffordable++
-		d = dispUnaffordable
-	}
-	if rec {
-		ar.fev = append(ar.fev, funnelEvent{id: id, disp: d})
-	}
-}
-
-// slatePassSingle is the capacity-1 pass B: one best item per candidate,
-// best-efficiency candidate wins the slot, the displaced runner-up prices
-// it. With every campaign on fixed billing the admitted set, the winner and
-// the committed Offer are bit-identical to the legacy pass B plus trim.
-func (b *Broker) slatePassSingle(ar *scanArena, tally *scanTally, boost float64, rec bool) {
-	adTypes := b.cfg.AdTypes
-	ar.reps = ar.reps[:0]
-	for i, c := range ar.cand {
-		phi := b.threshold(ar.delta[i])
-		if boost != 1 {
-			phi *= boost
-		}
-		if ar.relief[i] {
-			phi *= guaranteeRelief
-		}
-		bi := c.billing
-		base, remaining := ar.base[i], ar.remaining[i]
-		bestK, bestU, bestEff, bestBid := -1, 0.0, 0.0, 0.0
-		affordable, aboveReserve := false, false
-		for k, t := range adTypes {
-			if t.Cost > remaining+1e-12 {
-				continue
-			}
-			affordable = true
-			bid := bi.BidECPM(t.Cost)
-			if bid < bi.ReserveECPM {
-				continue // reserve-priced out of the auction
-			}
-			aboveReserve = true
-			util := base * t.Effect
-			eff := util / bi.ExpectedCost(t.Cost)
-			b.observeEfficiency(eff)
-			if eff < phi {
-				continue
-			}
-			if util > bestU {
-				bestK, bestU, bestEff, bestBid = k, util, eff, bid
-			}
-		}
-		if bestK >= 0 {
-			tally.offered++
-			ar.reps = append(ar.reps, slateRep{
-				ci: int32(i), k: int32(bestK), util: bestU, eff: bestEff, bid: bestBid,
-			})
-			continue
-		}
-		b.slateDisposition(ar, tally, rec, c.id, affordable, aboveReserve, ar.headroom[i])
-	}
-	if len(ar.reps) == 0 {
-		return
-	}
-	// Winner and runner-up by (efficiency desc, campaign asc): reps ascend
-	// by campaign id, so the strict > scan resolves ties to the lower id —
-	// the same total order the legacy capacity trim sorts by.
-	wi, ri := -1, -1
-	for j := range ar.reps {
-		switch {
-		case wi < 0 || ar.reps[j].eff > ar.reps[wi].eff:
-			ri = wi
-			wi = j
-		case ri < 0 || ar.reps[j].eff > ar.reps[ri].eff:
-			ri = j
-		}
-	}
-	runnerBid := 0.0
-	if ri >= 0 {
-		runnerBid = ar.reps[ri].bid
-		tally.trimmed = uint64(len(ar.reps) - 1)
-	}
-	w := &ar.reps[wi]
-	ar.cands = append(ar.cands,
-		priceSlateOffer(ar.cand[w.ci], adTypes, int(w.k), w.util, w.eff, w.bid, runnerBid))
-	if rec {
-		// One slot: the winner was offered, every other admitted rep lost it.
-		for j := range ar.reps {
-			d := dispDisplaced
-			if j == wi {
-				d = dispOffered
-			}
-			ar.fev = append(ar.fev, funnelEvent{id: ar.cand[ar.reps[j].ci].id, disp: d})
-		}
-	}
-}
-
-// slatePassSlots is the capacity ≥ 2 pass B: each candidate with admitted
-// items becomes an MCKP class (items priced at expected cost) and the slot
-// solver fills up to `capacity` slots in decreasing best-item efficiency —
-// the same currency the capacity-1 winner scan and the legacy trim rank by.
-func (b *Broker) slatePassSlots(ar *scanArena, capacity int, tally *scanTally, boost float64, rec bool) {
-	adTypes := b.cfg.AdTypes
+// solveSlots resolves the billed a_i ≥ 2 walk: the slot solver fills up to
+// capacity slots from the MCKP classes pass B built, in decreasing
+// best-item efficiency — the currency keepBest ranks by. The first class
+// denied a slot prices every winner: its hypothetical pick is the bid the
+// slate displaced.
+func (b *Broker) solveSlots(ar *scanArena, capacity int, tally *scanTally, rec bool, ex *explainSink) {
 	s := &ar.slot
-	s.Reset()
-	ar.items = ar.items[:0]
-	ar.classCand = ar.classCand[:0]
-	ar.classItem0 = ar.classItem0[:0]
-	for i, c := range ar.cand {
-		phi := b.threshold(ar.delta[i])
-		if boost != 1 {
-			phi *= boost
-		}
-		if ar.relief[i] {
-			phi *= guaranteeRelief
-		}
-		bi := c.billing
-		base, remaining := ar.base[i], ar.remaining[i]
-		opened := false
-		affordable, aboveReserve := false, false
-		for k, t := range adTypes {
-			if t.Cost > remaining+1e-12 {
-				continue
-			}
-			affordable = true
-			bid := bi.BidECPM(t.Cost)
-			if bid < bi.ReserveECPM {
-				continue
-			}
-			aboveReserve = true
-			expCost := bi.ExpectedCost(t.Cost)
-			util := base * t.Effect
-			eff := util / expCost
-			b.observeEfficiency(eff)
-			if eff < phi || util <= 0 {
-				continue
-			}
-			if !opened {
-				opened = true
-				s.Begin()
-				ar.classCand = append(ar.classCand, int32(i))
-				ar.classItem0 = append(ar.classItem0, int32(len(ar.items)))
-			}
-			s.Item(expCost, util)
-			ar.items = append(ar.items, slateItem{adType: int32(k), util: util, eff: eff, bid: bid})
-		}
-		if opened {
-			tally.offered++
-			continue
-		}
-		b.slateDisposition(ar, tally, rec, c.id, affordable, aboveReserve, ar.headroom[i])
-	}
 	if s.Classes() == 0 {
 		return
 	}
 	s.Solve(capacity)
-	// The first class denied a slot prices every winner: its hypothetical
-	// pick is the bid the slate displaced.
 	runnerBid := 0.0
 	if rc := s.Runner(); rc >= 0 {
 		if rp := s.RunnerPick(); rp >= 0 {
@@ -342,32 +59,33 @@ func (b *Broker) slatePassSlots(ar *scanArena, capacity int, tally *scanTally, b
 		it := &ar.items[int(ar.classItem0[ci])+s.Pick(int(ci))]
 		c := ar.cand[ar.classCand[ci]]
 		ar.cands = append(ar.cands,
-			priceSlateOffer(c, adTypes, int(it.adType), it.util, it.eff, it.bid, runnerBid))
+			priceSlateOffer(c, b.cfg.AdTypes, int(it.adType), it.util, it.eff, it.bid, runnerBid))
 	}
-	tally.trimmed = uint64(s.Classes() - len(s.Order()))
-	if rec {
-		// Funnel resolution for admitted classes: slot winners were offered,
-		// the classes the solver left out were displaced.
-		ar.classWon = ar.classWon[:0]
-		for range ar.classCand {
-			ar.classWon = append(ar.classWon, false)
+	tally.n[dispDisplaced] = uint64(s.Classes() - len(s.Order()))
+	if !rec && ex == nil {
+		return
+	}
+	// Resolution in class order: slot winners were offered, the classes the
+	// solver left out were displaced.
+	ar.classSlot = ar.classSlot[:0]
+	for range ar.classCand {
+		ar.classSlot = append(ar.classSlot, -1)
+	}
+	for slot, ci := range s.Order() {
+		ar.classSlot[ci] = int32(slot)
+	}
+	for ci, slot := range ar.classSlot {
+		var cd *candidate
+		if slot >= 0 {
+			cd = &ar.cands[slot]
 		}
-		for _, ci := range s.Order() {
-			ar.classWon[ci] = true
-		}
-		for ci, won := range ar.classWon {
-			d := dispDisplaced
-			if won {
-				d = dispOffered
-			}
-			ar.fev = append(ar.fev, funnelEvent{id: ar.cand[ar.classCand[ci]].id, disp: d})
-		}
+		b.award(ar, rec, ex, ar.classCand[ci], cd, int(slot))
 	}
 }
 
-// priceSlateOffer builds the committed-offer candidate for one slate winner.
+// priceSlateOffer builds the committed-offer candidate for one winner.
 // Fixed billing bypasses the auction: the offer carries the catalog cost
-// alone, field-for-field what the legacy scan produces. Auction billing pays
+// alone, with every auction field zero. Auction billing pays
 // min(own bid, max(reserve, runner-up bid)) in eCPM — charged now for CPM,
 // escrowed as a per-event hold for CPC/CPA.
 func priceSlateOffer(c *campaign, adTypes []model.AdType, k int, util, eff, bid, runnerBid float64) candidate {
@@ -397,13 +115,13 @@ func priceSlateOffer(c *campaign, adTypes []model.AdType, k int, util, eff, bid,
 	return cd
 }
 
-// commitSlate charges every slate winner in ar.cands and appends the offers
-// to dst. The money sequence per offer is exactly commitOffers'; deferred
-// winners additionally register in the escrow table (assigning the offer ID
-// conversion events reference) instead of spending, and auction charges are
-// folded into the per-model revenue counters. Caller still holds the stripe
-// locks, which cover every winner's owning shard.
-func (b *Broker) commitSlate(ar *scanArena, dst []Offer) []Offer {
+// commit charges every winner in ar.cands and appends the offers to dst.
+// Deferred (CPC/CPA) winners register in the escrow table, which assigns the
+// offer ID conversion events reference, instead of spending; every other
+// charge is counted as revenue under its billing model. Caller still holds
+// the stripe locks, which cover every winner's owning shard, so load+store
+// is a safe read-modify-write.
+func (b *Broker) commit(ar *scanArena, dst []Offer) []Offer {
 	m := b.metrics
 	bl := b.billing
 	var dir []*campaign
@@ -433,6 +151,9 @@ func (b *Broker) commitSlate(ar *scanArena, dst []Offer) []Offer {
 		dst = append(dst, cd.Offer)
 		if m != nil {
 			m.offersByType[cd.AdType].Inc()
+			// Exhaustion event: this commit pushed the remaining budget
+			// below the cheapest ad type, so the campaign can serve nothing
+			// further until a top-up.
 			budget := cd.c.budget.Load()
 			if budget-oldSpent >= b.minAdCost && budget-newSpent < b.minAdCost {
 				m.exhaustedEvents.Inc()

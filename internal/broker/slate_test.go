@@ -1,7 +1,7 @@
 package broker
 
-// Tests for the MCKP slate serving path: bit-exact equivalence with the
-// legacy scan on a_i=1 all-fixed fleets, knapsack edge cases on the serving
+// Tests for billed serving: bit-exact equivalence of billed and unbilled
+// brokers on a_i=1 all-fixed fleets, knapsack edge cases on the serving
 // path, auction-pricing properties, WAL v4 crash recovery with escrow, and
 // the concurrent escrow soak the -race gate runs.
 
@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -75,11 +76,25 @@ func applyBilledOp(t *testing.T, b *Broker, op workload.BrokerOp, open *[]uint64
 	}
 }
 
-// TestSlateEquivalenceSerial is the tentpole's equivalence pin: with every
-// arrival at capacity 1 and every campaign on fixed-cost billing, a broker
-// forced onto the slate path (Config.Slate) must take bit-identical
-// decisions to the legacy scan — same offers field for field, same final
-// campaign states, counters and γ estimator.
+// enableBilling turns billing on with one CPM campaign no arrival can
+// reach (outside the service area, zero radius). Register it after the
+// fleet so the fleet's campaign ids are unchanged.
+func enableBilling(t *testing.T, b *Broker) {
+	t.Helper()
+	if _, err := b.RegisterCampaignSpec(CampaignSpec{
+		Loc: geo.Point{X: -1, Y: -1}, Budget: 1, Tags: []float64{1},
+		Billing: model.Billing{Model: model.BillingCPM, ReserveECPM: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSlateEquivalenceSerial pins billing as decision-neutral for fixed-cost
+// campaigns: with every arrival at capacity 1 and every reachable campaign
+// on fixed-cost billing, a broker whose billing is active (one billed
+// campaign out of reach) must take bit-identical decisions to an unbilled
+// one — same offers field for field, same final campaign states, counters
+// and γ estimator.
 func TestSlateEquivalenceSerial(t *testing.T) {
 	lcfg := workload.DefaultBrokerLoadConfig(24, 2500, 5)
 	lcfg.Capacity = stats.Range{Lo: 1, Hi: 1}
@@ -96,42 +111,43 @@ func TestSlateEquivalenceSerial(t *testing.T) {
 		{"fixed_g", Config{AdTypes: workload.DefaultAdTypes(), G: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy, err := New(tc.cfg)
+			plain, err := New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scfg := tc.cfg
-			scfg.Slate = true
-			slate, err := New(scfg)
+			billed, err := New(tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			registerLoad(t, legacy, specs)
-			registerLoad(t, slate, specs)
+			registerLoad(t, plain, specs)
+			registerLoad(t, billed, specs)
+			enableBilling(t, billed)
 			for i, op := range stream {
 				if op.Kind != workload.OpArrival {
-					applyLoadOp(t, legacy, op)
-					applyLoadOp(t, slate, op)
+					applyLoadOp(t, plain, op)
+					applyLoadOp(t, billed, op)
 					continue
 				}
 				a := Arrival{Loc: op.Loc, Capacity: op.Capacity, ViewProb: op.ViewProb,
 					Interests: op.Interests, Hour: op.Hour}
-				lo, err := legacy.Arrive(a)
+				po, err := plain.Arrive(a)
 				if err != nil {
 					t.Fatal(err)
 				}
-				so, err := slate.Arrive(a)
+				bo, err := billed.Arrive(a)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(lo, so) {
-					t.Fatalf("op %d: offers diverge\nlegacy: %+v\nslate:  %+v", i, lo, so)
+				if !reflect.DeepEqual(po, bo) {
+					t.Fatalf("op %d: offers diverge\nunbilled: %+v\nbilled:   %+v", i, po, bo)
 				}
 			}
-			if ls, ss := legacy.Stats(), slate.Stats(); ls != ss {
-				t.Fatalf("stats diverge\nlegacy: %+v\nslate:  %+v", ls, ss)
+			ps, bs := plain.Stats(), billed.Stats()
+			bs.Campaigns-- // the out-of-reach billed campaign
+			if ps != bs {
+				t.Fatalf("stats diverge\nunbilled: %+v\nbilled:   %+v", ps, bs)
 			}
-			if !reflect.DeepEqual(legacy.Campaigns(), slate.Campaigns()) {
+			if !reflect.DeepEqual(plain.Campaigns(), billed.Campaigns()[:len(specs)]) {
 				t.Fatal("campaign states diverge")
 			}
 		})
@@ -159,10 +175,10 @@ func slateArrival(capacity int) Arrival {
 		ViewProb: 0.8, Interests: []float64{0.9, 0.4}, Hour: 12}
 }
 
-// TestSlateZeroCapacity: an a_i=0 arrival on the slate path is counted but
+// TestSlateZeroCapacity: an a_i=0 arrival on a billed fleet is counted but
 // never scanned — no offers, no panic, no money moved.
 func TestSlateZeroCapacity(t *testing.T) {
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Slate: true})
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +200,7 @@ func TestSlateZeroCapacity(t *testing.T) {
 // classes, the solver serves every class exactly once — one offer per
 // campaign, no duplicates, no phantom slots.
 func TestSlateCapacityExceedsCandidates(t *testing.T) {
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Slate: true})
+	b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,39 +633,55 @@ func TestSlateConcurrentEscrowSoak(t *testing.T) {
 	billedInvariants(t, rb)
 }
 
-// TestSlateArriveZeroAllocs extends the zero-alloc bar to the slot-solver
-// path: a forced-slate all-fixed broker serving capacity-2 arrivals must
-// not allocate after warm-up — the arena owns the solver scratch too.
+// TestSlateArriveZeroAllocs holds the zero-alloc bar for both resolutions
+// of a capacity-2 arrival that admits more candidates than it has slots:
+// the unbilled keepBest trim and, once billing is active, the slot solver —
+// the arena owns the sort and solver scratch too.
 func TestSlateArriveZeroAllocs(t *testing.T) {
-	b, err := New(Config{AdTypes: workload.DefaultAdTypes(), Slate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 64; i++ {
-		x := float64(i%8)/8 + 0.05
-		y := float64(i/8)/8 + 0.05
-		if _, err := b.RegisterCampaign(geo.Point{X: x, Y: y}, 0.15, 1e9, []float64{1, 0.5, 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := Arrival{Loc: geo.Point{X: 0.4, Y: 0.4}, Capacity: 2, ViewProb: 0.8,
-		Interests: []float64{1, 0.5, 1}, Hour: 12}
-	dst := make([]Offer, 0, 16)
-	for i := 0; i < 16; i++ {
-		out, err := b.ArriveAppend(dst[:0], a)
+	for _, billed := range []bool{false, true} {
+		b, err := New(Config{AdTypes: workload.DefaultAdTypes()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst = out[:0]
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		out, err := b.ArriveAppend(dst[:0], a)
+		for i := 0; i < 64; i++ {
+			x := float64(i%8)/8 + 0.05
+			y := float64(i/8)/8 + 0.05
+			if _, err := b.RegisterCampaign(geo.Point{X: x, Y: y}, 0.15, 1e9, []float64{1, 0.5, 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if billed {
+			enableBilling(t, b)
+		}
+		a := Arrival{Loc: geo.Point{X: 0.4, Y: 0.4}, Capacity: 2, ViewProb: 0.8,
+			Interests: []float64{1, 0.5, 1}, Hour: 12}
+		dst := make([]Offer, 0, 16)
+		for i := 0; i < 16; i++ {
+			out, err := b.ArriveAppend(dst[:0], a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst = out[:0]
+		}
+		rep, err := b.Explain(a)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dst = out[:0]
-	})
-	if allocs != 0 {
-		t.Fatalf("slate arrival allocates %v times per op, want 0", allocs)
+		if rep.Slate != billed || rep.Offered != a.Capacity ||
+			!slices.ContainsFunc(rep.Candidates, func(c ExplainCandidate) bool {
+				return c.Disposition == dispositionNames[dispDisplaced]
+			}) {
+			t.Fatalf("billed=%v: the arrival must fill both slots and displace a candidate: %+v", billed, rep)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			out, err := b.ArriveAppend(dst[:0], a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dst = out[:0]
+		})
+		if allocs != 0 {
+			t.Fatalf("billed=%v: capacity-2 arrival allocates %v times per op, want 0", billed, allocs)
+		}
 	}
 }

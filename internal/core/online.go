@@ -31,6 +31,25 @@ func (a AdaptiveThreshold) Value(delta float64) float64 {
 	return a.GammaMin / math.E * math.Pow(a.G, delta)
 }
 
+// TunedG is the paper's g tuning rule (Section IV-B: φ(1) ≤ γ_max ⇒
+// g ≤ e·γ_max/γ_min): g = e·γ_max/γ_min clamped to [2e, 1e9], or 2e when
+// the bounds are not known yet (γ_min ≤ 0) or degenerate (γ_max ≤ γ_min).
+// Every adaptive threshold in the repository — offline sessions, the
+// day-over-day simulation and the live broker — derives its g here.
+func TunedG(gammaMin, gammaMax float64) float64 {
+	g := 2 * math.E
+	if gammaMin > 0 && gammaMax > gammaMin {
+		g = math.E * gammaMax / gammaMin
+		if g < 2*math.E {
+			g = 2 * math.E
+		}
+		if g > 1e9 {
+			g = 1e9
+		}
+	}
+	return g
+}
+
 // StaticThreshold admits any instance with efficiency ≥ Phi regardless of
 // remaining budget — the naive policy the paper argues against (Section
 // IV-A); kept as the A1 ablation.
@@ -143,19 +162,9 @@ func buildAdaptiveThreshold(p *model.Problem, gammaMin, g float64, sample int, s
 		gamma, gmax = EstimateGammaBounds(p, sample, seed)
 	}
 	if g == 0 {
-		// Paper's tuning rule: φ(1) ≤ γ_max ⇒ g ≤ e·γ_max/γ_min. When the
-		// caller supplied γ_min explicitly there is no γ_max sample; fall
-		// back to 2e.
-		g = 2 * math.E
-		if gamma > 0 && gmax > gamma {
-			g = math.E * gmax / gamma
-			if g < 2*math.E {
-				g = 2 * math.E
-			}
-			if g > 1e9 {
-				g = 1e9
-			}
-		}
+		// When the caller supplied γ_min explicitly there is no γ_max
+		// sample, and TunedG falls back to 2e.
+		g = TunedG(gamma, gmax)
 	}
 	if g <= math.E {
 		return nil, fmt.Errorf("core: O-AFA requires g > e, got %g", g)
